@@ -13,7 +13,7 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Edge is an undirected weighted edge. Endpoints are vertex indices in
@@ -155,30 +155,78 @@ func Add(g, h *Graph) *Graph {
 // edges merged by weight summation (resistors in parallel under the
 // Laplacian view add conductances), self-loops dropped (a self-loop has
 // the zero Laplacian), endpoints ordered U < V, and edges sorted.
+// Endpoints must lie in [0, N).
+//
+// Summation order: the copies of an edge {u, v} are summed in input
+// order, starting from zero — ((0 + w₁) + w₂) + … — so the merged
+// weight is a pure function of the edge list, bit for bit.
+//
+// A stable counting sort buckets the loop-free edges by min endpoint;
+// each bucket is merged through a dense accumulator indexed by max
+// endpoint, and only the bucket's distinct neighbours are sorted.
 func (g *Graph) Canonical() *Graph {
-	type key struct{ u, v int32 }
-	acc := make(map[key]float64, len(g.Edges))
+	n := g.N
+	// off[u+1] counts bucket u, then off becomes the prefix offsets.
+	off := make([]int, n+1)
+	for _, e := range g.Edges {
+		if e.U != e.V {
+			off[min(e.U, e.V)+1]++
+		}
+	}
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	nbr := make([]int32, off[n])
+	wt := make([]float64, off[n])
 	for _, e := range g.Edges {
 		if e.U == e.V {
 			continue
 		}
-		u, v := e.U, e.V
-		if u > v {
-			u, v = v, u
-		}
-		acc[key{u, v}] += e.W
+		u, v := min(e.U, e.V), max(e.U, e.V)
+		nbr[off[u]], wt[off[u]] = v, e.W
+		off[u]++
 	}
-	edges := make([]Edge, 0, len(acc))
-	for k, w := range acc {
-		edges = append(edges, Edge{U: k.u, V: k.v, W: w})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
+	// Placement advanced each off[u] to the start of bucket u+1; shift
+	// back so that bucket u is off[u]..off[u+1] again.
+	copy(off[1:], off[:n])
+	off[0] = 0
+
+	// Merge bucket by bucket, compacting the distinct neighbours and
+	// their summed weights in place: the write index k never passes the
+	// read index, and a bucket's weights are rewritten only after it has
+	// been read in full.
+	acc := make([]float64, n)
+	seen := make([]bool, n)
+	k := 0
+	for u := 0; u < n; u++ {
+		lo, hi := off[u], off[u+1]
+		off[u] = k
+		row := k
+		for i := lo; i < hi; i++ {
+			v := nbr[i]
+			if !seen[v] {
+				seen[v] = true
+				nbr[k] = v
+				k++
+			}
+			acc[v] += wt[i]
 		}
-		return edges[i].V < edges[j].V
-	})
-	return &Graph{N: g.N, Edges: edges}
+		slices.Sort(nbr[row:k])
+		for j := row; j < k; j++ {
+			v := nbr[j]
+			wt[j] = acc[v]
+			acc[v], seen[v] = 0, false
+		}
+	}
+	off[n] = k
+
+	edges := make([]Edge, k)
+	for u := 0; u < n; u++ {
+		for j := off[u]; j < off[u+1]; j++ {
+			edges[j] = Edge{U: int32(u), V: nbr[j], W: wt[j]}
+		}
+	}
+	return &Graph{N: n, Edges: edges}
 }
 
 // Subgraph materializes the edges for which keep[i] is true.

@@ -186,14 +186,24 @@ func estimateSigma2(g *graph.Graph, l *matrix.CSR, invDiag []float64) float64 {
 	}
 	labels, count := graph.Components(g, nil)
 	// Per-component Perron vectors D^½·1_C, orthonormal by disjoint
-	// support after normalization.
-	basis := make([][]float64, 0, count)
-	for c := 0; c < count; c++ {
-		v := make([]float64, n)
-		for i := 0; i < n; i++ {
-			if int(labels[i]) == c && invDiag[i] > 0 {
-				v[i] = math.Sqrt(1 / invDiag[i])
+	// support after normalization. A component with no positive-degree
+	// vertex (a degree-0 singleton) would get the zero vector, which
+	// never enters the basis, so it gets no vector at all: one length-n
+	// vector per component is Θ(n·count) work and bytes.
+	perComp := make([][]float64, count)
+	for i := 0; i < n; i++ {
+		if invDiag[i] > 0 {
+			c := labels[i]
+			if perComp[c] == nil {
+				perComp[c] = make([]float64, n)
 			}
+			perComp[c][i] = math.Sqrt(1 / invDiag[i])
+		}
+	}
+	var basis [][]float64
+	for _, v := range perComp {
+		if v == nil {
+			continue
 		}
 		if nrm := vec.Norm2(v); nrm > 0 {
 			vec.Scale(1/nrm, v)

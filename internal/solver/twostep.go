@@ -90,7 +90,11 @@ func TwoStep(g *graph.Graph, opt TwoStepOptions) *graph.Graph {
 		}
 		return all
 	})
-	var edges []graph.Edge
+	total := 0
+	for _, block := range perVertex {
+		total += len(block)
+	}
+	edges := make([]graph.Edge, 0, total)
 	for _, block := range perVertex {
 		edges = append(edges, block...)
 	}

@@ -12,6 +12,18 @@
 // The algorithm works on a subset of the edges of a host graph selected
 // by an "alive" mask, which is what lets bundle construction peel
 // spanners off G − ΣH_j without copying the graph.
+//
+// Each vertex's decision groups its alive edges by neighbour cluster.
+// The grouping uses no hash map: every parutil shard owns a dense
+// scratch, allocated once per Compute call and reused by every
+// iteration. It holds a slot index per cluster id (−1 when absent), the
+// list of clusters touched by the current vertex with their lightest
+// edge and a remove flag alongside, and a reset that walks only the
+// touched clusters. The order in which a vertex's edges or groups are
+// scanned cannot change the output: the minima are taken over a total
+// order (resistive length, then edge id), and the spanner additions and
+// edge kills are idempotent set operations applied after every vertex
+// has decided.
 package spanner
 
 import (
@@ -132,6 +144,7 @@ type state struct {
 	center     []int32 // cluster assignment at the start of the iteration
 	seed       uint64
 	sampleProb float64
+	scratch    []*groupScratch // one per parutil shard, reused across iterations
 }
 
 // BestEdge tracks the lightest (in resistive length) alive edge from a
@@ -153,14 +166,119 @@ func Better(a BestEdge, eid int32, l float64) BestEdge {
 	return a
 }
 
-// UpdateBest folds edge (eid, l) into the per-cluster minimum map,
+// UpdateBest folds edge (eid, l) into a per-cluster minimum map,
 // treating a missing entry as "no edge yet" (the zero BestEdge would
-// otherwise masquerade as edge 0 with length 0).
+// otherwise masquerade as edge 0 with length 0). Compute groups through
+// its dense per-shard scratch instead; the map form serves the
+// distributed simulation's decide loop.
 func UpdateBest(m map[int32]BestEdge, c int32, eid int32, l float64) {
 	if be, ok := m[c]; ok {
 		m[c] = Better(be, eid, l)
 	} else {
 		m[c] = BestEdge{Eid: eid, Len: l}
+	}
+}
+
+// groupScratch groups one vertex's alive edges by neighbour cluster
+// without a hash map. slot[c] is cluster c's index in keys (−1 when c
+// is absent); best and remove run parallel to keys; reset walks only
+// the touched keys, so grouping a vertex costs O(degree), not O(n).
+// adds and kills collect the shard's spanner additions and edge kills
+// for the current iteration.
+type groupScratch struct {
+	slot   []int32
+	keys   []int32
+	best   []BestEdge
+	remove []bool
+	adds   []int32
+	kills  []int32
+}
+
+func newGroupScratch(n int) *groupScratch {
+	slot := make([]int32, n)
+	for i := range slot {
+		slot[i] = -1
+	}
+	return &groupScratch{slot: slot}
+}
+
+// add folds edge (eid, l) into cluster c's group.
+func (sc *groupScratch) add(c, eid int32, l float64) {
+	if i := sc.slot[c]; i >= 0 {
+		sc.best[i] = Better(sc.best[i], eid, l)
+		return
+	}
+	sc.slot[c] = int32(len(sc.keys))
+	sc.keys = append(sc.keys, c)
+	sc.best = append(sc.best, BestEdge{Eid: eid, Len: l})
+	sc.remove = append(sc.remove, false)
+}
+
+// removed reports whether cluster c is grouped and marked for removal.
+func (sc *groupScratch) removed(c int32) bool {
+	i := sc.slot[c]
+	return i >= 0 && sc.remove[i]
+}
+
+func (sc *groupScratch) reset() {
+	for _, c := range sc.keys {
+		sc.slot[c] = -1
+	}
+	sc.keys, sc.best, sc.remove = sc.keys[:0], sc.best[:0], sc.remove[:0]
+}
+
+// group resets sc and groups v's alive edges by neighbour cluster,
+// skipping unclustered neighbours and, when own ≥ 0, v's own cluster.
+func (s *state) group(sc *groupScratch, v, own int32) {
+	sc.reset()
+	lo, hi := s.adj.Range(v)
+	for slot := lo; slot < hi; slot++ {
+		eid := s.adj.EID[slot]
+		if s.dead[eid] {
+			continue
+		}
+		cu := s.center[s.adj.Nbr[slot]]
+		if cu < 0 || cu == own {
+			continue
+		}
+		sc.add(cu, eid, s.g.Edges[eid].Resistance())
+	}
+}
+
+// forShards runs body over a balanced partition of the vertices, each
+// shard with its own scratch, allocated on first use and kept for the
+// whole Compute call. Every shard's adds and kills start empty.
+func (s *state) forShards(body func(sc *groupScratch, lo, hi int)) {
+	n := s.g.N
+	if p := parutil.Workers(n); p > len(s.scratch) {
+		s.scratch = append(s.scratch, make([]*groupScratch, p-len(s.scratch))...)
+	}
+	for _, sc := range s.scratch {
+		if sc != nil {
+			sc.adds, sc.kills = sc.adds[:0], sc.kills[:0]
+		}
+	}
+	parutil.ForShard(n, func(shard, lo, hi int) {
+		if s.scratch[shard] == nil {
+			s.scratch[shard] = newGroupScratch(n)
+		}
+		body(s.scratch[shard], lo, hi)
+	})
+}
+
+// apply commits every shard's simultaneous decisions. They are
+// idempotent set operations, so application order is irrelevant.
+func (s *state) apply() {
+	for _, sc := range s.scratch {
+		if sc == nil {
+			continue
+		}
+		for _, eid := range sc.adds {
+			s.inSpanner[eid] = true
+		}
+		for _, eid := range sc.kills {
+			s.dead[eid] = true
+		}
 	}
 }
 
@@ -176,13 +294,7 @@ func (s *state) clusterIteration(iter int) {
 	})
 
 	newCenter := make([]int32, n)
-	type vertexOut struct {
-		spannerAdd []int32
-		kill       []int32
-	}
-	outs := parutil.CollectShards(n, func(_ int, lo, hi int) []vertexOut {
-		var shardOuts []vertexOut
-		groups := make(map[int32]BestEdge)
+	s.forShards(func(sc *groupScratch, lo, hi int) {
 		for vi := lo; vi < hi; vi++ {
 			v := int32(vi)
 			c := s.center[v]
@@ -196,97 +308,63 @@ func (s *state) clusterIteration(iter int) {
 				continue
 			}
 			// Group v's alive inter-cluster edges by neighbor cluster.
-			for key := range groups {
-				delete(groups, key)
-			}
-			loS, hiS := s.adj.Range(v)
-			for slot := loS; slot < hiS; slot++ {
-				eid := s.adj.EID[slot]
-				if s.dead[eid] {
-					continue
-				}
-				u := s.adj.Nbr[slot]
-				cu := s.center[u]
-				if cu < 0 || cu == c {
-					// Edges to unclustered vertices cannot exist by the
-					// E' invariant; intra-cluster edges were removed at
-					// the end of the previous iteration. Skip defensively.
-					continue
-				}
-				UpdateBest(groups, cu, eid, s.g.Edges[eid].Resistance())
-			}
-			var out vertexOut
+			// Edges to unclustered vertices cannot exist by the E'
+			// invariant; intra-cluster edges were removed at the end of
+			// the previous iteration. group skips both defensively.
+			s.group(sc, v, c)
 			// Find the lightest edge into a *sampled* adjacent cluster.
 			best := BestEdge{Eid: -1}
-			for cu, be := range groups {
+			for i, cu := range sc.keys {
 				if sampled[cu] {
-					if best.Eid < 0 || be.Len < best.Len || (be.Len == best.Len && be.Eid < best.Eid) {
-						best = be
-					}
+					best = Better(best, sc.best[i].Eid, sc.best[i].Len)
 				}
 			}
+			loS, hiS := s.adj.Range(v)
 			if best.Eid < 0 {
 				// Case (a): no sampled neighbor cluster. Add the lightest
 				// edge to every adjacent cluster; v drops out of the
 				// clustering and discards all its alive edges.
 				newCenter[v] = -1
-				for _, be := range groups {
-					out.spannerAdd = append(out.spannerAdd, be.Eid)
+				for _, be := range sc.best {
+					sc.adds = append(sc.adds, be.Eid)
 				}
 				for slot := loS; slot < hiS; slot++ {
-					eid := s.adj.EID[slot]
-					if !s.dead[eid] {
-						out.kill = append(out.kill, eid)
+					if eid := s.adj.EID[slot]; !s.dead[eid] {
+						sc.kills = append(sc.kills, eid)
 					}
 				}
-			} else {
-				// Case (b): join the sampled cluster reached by the
-				// lightest such edge; certify lighter adjacent clusters.
-				joined := s.g.Edges[best.Eid]
-				jc := s.center[joined.U]
-				if joined.U == v {
-					jc = s.center[joined.V]
-				}
-				newCenter[v] = jc
-				out.spannerAdd = append(out.spannerAdd, best.Eid)
-				removeCluster := make(map[int32]bool, 4)
-				removeCluster[jc] = true
-				for cu, be := range groups {
-					if cu == jc {
-						continue
-					}
-					if be.Len < best.Len || (be.Len == best.Len && be.Eid < best.Eid) {
-						out.spannerAdd = append(out.spannerAdd, be.Eid)
-						removeCluster[cu] = true
-					}
-				}
-				for slot := loS; slot < hiS; slot++ {
-					eid := s.adj.EID[slot]
-					if s.dead[eid] {
-						continue
-					}
-					u := s.adj.Nbr[slot]
-					if cu := s.center[u]; cu >= 0 && removeCluster[cu] {
-						out.kill = append(out.kill, eid)
-					}
+				continue
+			}
+			// Case (b): join the sampled cluster reached by the
+			// lightest such edge; certify lighter adjacent clusters.
+			joined := s.g.Edges[best.Eid]
+			jc := s.center[joined.U]
+			if joined.U == v {
+				jc = s.center[joined.V]
+			}
+			newCenter[v] = jc
+			sc.adds = append(sc.adds, best.Eid)
+			for i, cu := range sc.keys {
+				be := sc.best[i]
+				if cu == jc {
+					sc.remove[i] = true
+				} else if be.Len < best.Len || (be.Len == best.Len && be.Eid < best.Eid) {
+					sc.adds = append(sc.adds, be.Eid)
+					sc.remove[i] = true
 				}
 			}
-			if len(out.spannerAdd) > 0 || len(out.kill) > 0 {
-				shardOuts = append(shardOuts, out)
+			for slot := loS; slot < hiS; slot++ {
+				eid := s.adj.EID[slot]
+				if s.dead[eid] {
+					continue
+				}
+				if cu := s.center[s.adj.Nbr[slot]]; cu >= 0 && sc.removed(cu) {
+					sc.kills = append(sc.kills, eid)
+				}
 			}
 		}
-		return shardOuts
 	})
-	// Apply the simultaneous decisions (idempotent set operations, so
-	// application order is irrelevant).
-	for _, out := range outs {
-		for _, eid := range out.spannerAdd {
-			s.inSpanner[eid] = true
-		}
-		for _, eid := range out.kill {
-			s.dead[eid] = true
-		}
-	}
+	s.apply()
 	s.center = newCenter
 	// Step 4: discard intra-cluster edges under the new assignment.
 	parutil.For(len(s.g.Edges), func(i int) {
@@ -305,37 +383,15 @@ func (s *state) clusterIteration(iter int) {
 // lightest alive edge to each adjacent surviving cluster, after which
 // E' is empty.
 func (s *state) vertexClusterJoin() {
-	n := s.g.N
-	adds := parutil.CollectShards(n, func(_ int, lo, hi int) []int32 {
-		var shardAdds []int32
-		groups := make(map[int32]BestEdge)
-		for vi := lo; vi < hi; vi++ {
-			v := int32(vi)
-			for key := range groups {
-				delete(groups, key)
-			}
-			loS, hiS := s.adj.Range(v)
-			for slot := loS; slot < hiS; slot++ {
-				eid := s.adj.EID[slot]
-				if s.dead[eid] {
-					continue
-				}
-				u := s.adj.Nbr[slot]
-				cu := s.center[u]
-				if cu < 0 {
-					continue
-				}
-				UpdateBest(groups, cu, eid, s.g.Edges[eid].Resistance())
-			}
-			for _, be := range groups {
-				shardAdds = append(shardAdds, be.Eid)
+	s.forShards(func(sc *groupScratch, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			s.group(sc, int32(v), -1)
+			for _, be := range sc.best {
+				sc.adds = append(sc.adds, be.Eid)
 			}
 		}
-		return shardAdds
 	})
-	for _, eid := range adds {
-		s.inSpanner[eid] = true
-	}
+	s.apply()
 	for i := range s.dead {
 		s.dead[i] = true
 	}

@@ -2,6 +2,7 @@ package spanner
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -114,6 +115,28 @@ func TestSpannerDeterministicAcrossRuns(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("nondeterministic at edge %d", i)
+		}
+	}
+}
+
+// TestSpannerIdenticalAcrossShardCounts runs Compute with 1 to 5
+// vertex shards, each grouping through its own scratch; the mask must
+// not depend on the partition.
+func TestSpannerIdenticalAcrossShardCounts(t *testing.T) {
+	g := gen.WithRandomWeights(gen.Gnp(5000, 0.004, 3), 0.1, 10, 4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []bool
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		got := computeMask(t, g, Options{Seed: 5})
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("GOMAXPROCS=%d: edge %d differs from the one-shard mask", procs, i)
+			}
 		}
 	}
 }
